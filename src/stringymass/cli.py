@@ -101,12 +101,13 @@ def _run_mass_tame(args) -> dict:
     if rep.has_reflection:
         diagnostics.append("reflection detected: mass-equals-stringy-motif identity not applicable")
     rational = MotivicRational(mass)
+    realized = poincare_realize(rational)
     result = {
         "mass": rational.to_json(),
         "mass_pretty": rational.render(),
         "euler": _exact(Fraction(rep.m)),
-        "poincare": poincare_realize(rational).to_json(),
-        "poincare_pretty": poincare_realize(rational).render(),
+        "poincare": realized.to_json(),
+        "poincare_pretty": realized.render(),
         "crepant_report": None,
     }
     command = {"name": "mass", "kind": "tame", "m": rep.m, "weights": list(rep.weights)}
@@ -147,7 +148,7 @@ def _run_stringy(args) -> dict:
         data = SncStrataData.from_json(args.input)
     except FileNotFoundError:
         raise _InputError(f"--input: no such file {args.input!r}")
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise _InputError(f"--input: malformed strata file: {exc}")
     except StringyMassError as exc:
         raise _InputError(f"--input: {exc}")

@@ -95,9 +95,8 @@ class FiniteField:
         if q not in DEFINING_POLYNOMIALS:
             raise ValueError(f"no defining polynomial on record for q = {q}")
         poly = DEFINING_POLYNOMIALS[q]
-        e = len(poly) - 1
-        p = round(q ** (1.0 / e))
-        return cls(p, e, poly)
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        return cls(p, len(poly) - 1, poly)
 
     @property
     def zero(self) -> tuple[int, ...]:

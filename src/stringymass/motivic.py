@@ -7,11 +7,11 @@ multiple of the exponent denominators, so a value always lives in the Laurent
 ring Z[L^(1/r), L^(-1/r)] for some finite r.
 
 ``MotivicRational`` keeps quotients in a canonical reduced form: writing both
-parts as a monomial times a polynomial in u = L^(1/r), the polynomial gcd over
-the rationals is divided out, the pair is scaled to integer coefficients with
-joint content 1, and the denominator gets a positive leading coefficient and
-lowest exponent 0 (its monomial part is pushed into the numerator).  Equality
-of values is then plain structural equality.
+parts as a monomial times a polynomial in u = L^(1/r), their primitive integer
+gcd is divided out by exact division over Z (Gauss's lemma), the joint content
+of the pair is divided out, and the denominator gets a positive leading
+coefficient and lowest exponent 0 (its monomial part is pushed into the
+numerator).  Equality of values is then plain structural equality.
 
 Two realizations are provided: the virtual Poincare realization L -> T^2
 (``poincare_realize``) and evaluation at L = 1 (``euler_realize``).  Geometric
@@ -243,22 +243,21 @@ def l_power(exp) -> MotivicElement:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over Q, used only for canonical reduction
+# Integer polynomial helpers, used only for canonical reduction
 # ---------------------------------------------------------------------------
 
 def _u_coefficients(elem: MotivicElement, r: int):
-    """Split elem as L^shift * sum coeffs[k] L^(k/r) with coeffs[0] nonzero."""
-    shift = elem.min_exponent
-    by_degree = {}
-    for e, c in elem._terms.items():
-        k = (e - shift) * r
-        by_degree[int(k)] = c
-    top = max(by_degree)
-    return shift, [by_degree.get(k, 0) for k in range(top + 1)]
+    """Split elem as L^(shift/r) * sum coeffs[k] L^(k/r) with coeffs[0] nonzero."""
+    by_degree = {e.numerator * (r // e.denominator): c for e, c in elem._terms.items()}
+    shift = min(by_degree)
+    coeffs = [0] * (max(by_degree) - shift + 1)
+    for k, c in by_degree.items():
+        coeffs[k - shift] = c
+    return shift, coeffs
 
 
-def _element_from_u(coeffs, r: int, shift: Fraction) -> MotivicElement:
-    return MotivicElement({shift + Fraction(k, r): c for k, c in enumerate(coeffs) if c})
+def _element_from_u(coeffs, r: int, shift: int) -> MotivicElement:
+    return MotivicElement({Fraction(shift + k, r): c for k, c in enumerate(coeffs) if c})
 
 
 def _poly_trim(a):
@@ -267,21 +266,18 @@ def _poly_trim(a):
     return a
 
 
-def _poly_divmod(num, den):
-    """Quotient and remainder over Q; den must be nonzero."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    if len(num) < len(den):
-        return [], _poly_trim(num)
-    quot = [Fraction(0)] * (len(num) - len(den) + 1)
-    lead_inv = 1 / den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        coeff = num[k + len(den) - 1] * lead_inv
+def _poly_exact_div(num, den):
+    """Quotient of num by den over Z; den must divide num exactly."""
+    num = list(num)
+    quot = [0] * (len(num) - len(den) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        coeff = num[k + len(den) - 1] // den[-1]
         quot[k] = coeff
         if coeff:
-            for j in range(len(den)):
-                num[k + j] -= coeff * den[j]
-    return _poly_trim(quot), _poly_trim(num)
+            for j, c in enumerate(den):
+                num[k + j] -= coeff * c
+    assert not any(num)
+    return quot
 
 
 def _poly_content(a) -> int:
@@ -326,19 +322,11 @@ def _poly_gcd(a, b):
 
 
 def _normalize_pair(pn, pd):
-    """Scale a numerator/denominator pair to primitive integers, den lead > 0."""
-    pn = [Fraction(c) for c in pn]
-    pd = [Fraction(c) for c in pd]
-    scale = math.lcm(*(c.denominator for c in pn + pd))
-    n = [(c * scale).numerator for c in pn]
-    d = [(c * scale).numerator for c in pd]
-    content = math.gcd(*(abs(c) for c in n + d))
-    n = [c // content for c in n]
-    d = [c // content for c in d]
-    if d[-1] < 0:
-        n = [-c for c in n]
-        d = [-c for c in d]
-    return n, d
+    """Divide out the joint content, choosing its sign so that den lead > 0."""
+    content = math.gcd(*pn, *pd)
+    if pd[-1] < 0:
+        content = -content
+    return [c // content for c in pn], [c // content for c in pd]
 
 
 def _reduce(num: MotivicElement, den: MotivicElement):
@@ -349,14 +337,13 @@ def _reduce(num: MotivicElement, den: MotivicElement):
     r = math.lcm(num.ramification_index, den.ramification_index)
     sn, pn = _u_coefficients(num, r)
     sd, pd = _u_coefficients(den, r)
+    # The gcd is primitive, so by Gauss's lemma it divides both parts over Z.
     g = _poly_gcd(pn, pd)
     if len(g) > 1:
-        pn, rem = _poly_divmod(pn, g)
-        assert not rem
-        pd, rem = _poly_divmod(pd, g)
-        assert not rem
+        pn = _poly_exact_div(pn, g)
+        pd = _poly_exact_div(pd, g)
     pn, pd = _normalize_pair(pn, pd)
-    return _element_from_u(pn, r, sn - sd), _element_from_u(pd, r, Fraction(0))
+    return _element_from_u(pn, r, sn - sd), _element_from_u(pd, r, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +393,7 @@ class MotivicRational:
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
-        return MotivicRational(
+        return type(self)(
             self._num * other._den + other._num * self._den,
             self._den * other._den,
         )
@@ -414,7 +401,7 @@ class MotivicRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return MotivicRational(-self._num, self._den)
+        return type(self)(-self._num, self._den)
 
     def __sub__(self, other):
         other = _coerce_rational(other)
@@ -432,7 +419,7 @@ class MotivicRational:
         other = _coerce_rational(other)
         if other is NotImplemented:
             return NotImplemented
-        return MotivicRational(self._num * other._num, self._den * other._den)
+        return type(self)(self._num * other._num, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -442,7 +429,7 @@ class MotivicRational:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero value")
-        return MotivicRational(self._num * other._den, self._den * other._num)
+        return type(self)(self._num * other._den, self._den * other._num)
 
     def __rtruediv__(self, other):
         other = _coerce_rational(other)
@@ -455,8 +442,8 @@ class MotivicRational:
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            return MotivicRational(self._den, self._num) ** (-n)
-        return MotivicRational(self._num**n, self._den**n)
+            return type(self)(self._den, self._num) ** (-n)
+        return type(self)(self._num**n, self._den**n)
 
     def __eq__(self, other):
         other = _coerce_rational(other)
@@ -494,7 +481,7 @@ class MotivicRational:
         return f"({self._num.render(var)})/({self._den.render(var)})"
 
     def __repr__(self):
-        return f"MotivicRational({self.render()})"
+        return f"{type(self).__name__}({self.render()})"
 
 
 def _coerce_rational(x):
@@ -597,61 +584,38 @@ INFINITY = ExtendedMotivic(None)
 # Poincare functions
 # ---------------------------------------------------------------------------
 
-class PoincareFunction:
-    """A canonical rational function read in the variable T^(1/r).
+class PoincareFunction(MotivicRational):
+    """A MotivicRational read in the variable T^(1/r) instead of L^(1/r).
 
-    Same representation as MotivicRational, distinct semantics: exponents are
-    powers of T, and the ramification index r is tracked for evaluation and
-    duality checks.
+    The canonical form, equality and arithmetic are those of MotivicRational;
+    arithmetic with a PoincareFunction on either side gives a PoincareFunction.
+    Only evaluation at T = 0, the duality check and the default variable of
+    ``render`` are specific to T.
     """
 
-    __slots__ = ("_fn",)
+    __slots__ = ()
 
-    def __init__(self, fn):
-        if not isinstance(fn, MotivicRational):
-            fn = MotivicRational(fn)
-        self._fn = fn
+    def __init__(self, num, den=ONE):
+        if isinstance(num, MotivicRational) and den is ONE:
+            self._num, self._den = num._num, num._den
+        else:
+            super().__init__(num, den)
+
+    # A subclass's own reflected method runs before the base class's forward
+    # one, so MotivicRational + PoincareFunction is a PoincareFunction too.
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
 
     @property
     def rational(self) -> MotivicRational:
-        return self._fn
-
-    @property
-    def numerator(self) -> MotivicElement:
-        return self._fn.numerator
-
-    @property
-    def denominator(self) -> MotivicElement:
-        return self._fn.denominator
+        return MotivicRational(self._num, self._den)
 
     @property
     def ramification_index(self) -> int:
-        return math.lcm(
-            self._fn.numerator.ramification_index,
-            self._fn.denominator.ramification_index,
-        )
-
-    def __add__(self, other):
-        if isinstance(other, PoincareFunction):
-            other = other._fn
-        return PoincareFunction(self._fn + other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, PoincareFunction):
-            other = other._fn
-        return PoincareFunction(self._fn * other)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, PoincareFunction):
-            return self._fn == other._fn
-        return self._fn == other
-
-    def __hash__(self):
-        return hash(self._fn)
+        return math.lcm(self._num.ramification_index, self._den.ramification_index)
 
     def eval_at_zero(self) -> Fraction:
         """Value of the reduced function at T = 0.
@@ -661,7 +625,7 @@ class PoincareFunction:
         lowest exponent 0, so a pole occurs exactly when the numerator still
         carries negative exponents.
         """
-        num, den = self._fn.numerator, self._fn.denominator
+        num, den = self._num, self._den
         if num.is_zero:
             return Fraction(0)
         low = num.min_exponent
@@ -676,22 +640,16 @@ class PoincareFunction:
         d = as_int(d)
         if d < 0:
             raise ValueError("duality dimension must be nonnegative")
-        num = self._fn.numerator.scale_exponents(-1).shift(2 * d)
-        den = self._fn.denominator.scale_exponents(-1)
-        return MotivicRational(num, den) == self._fn
+        num = self._num.scale_exponents(-1).shift(2 * d)
+        den = self._den.scale_exponents(-1)
+        return MotivicRational(num, den) == self
 
     def is_integral_polynomial(self) -> bool:
         """True when the canonical form is a polynomial in T (not in T^(1/r))."""
-        return self._fn.is_polynomial and self._fn.numerator.is_integral_polynomial()
-
-    def to_json(self) -> dict:
-        return self._fn.to_json()
+        return self.is_polynomial and self._num.is_integral_polynomial()
 
     def render(self, var: str = "T") -> str:
-        return self._fn.render(var)
-
-    def __repr__(self):
-        return f"PoincareFunction({self.render()})"
+        return super().render(var)
 
 
 def poincare_realize(x) -> PoincareFunction:
@@ -701,12 +659,7 @@ def poincare_realize(x) -> PoincareFunction:
     rat = _coerce_rational(x)
     if rat is NotImplemented:
         raise TypeError("finite motivic value expected")
-    return PoincareFunction(
-        MotivicRational(
-            rat.numerator.scale_exponents(2),
-            rat.denominator.scale_exponents(2),
-        )
-    )
+    return PoincareFunction(rat.numerator.scale_exponents(2), rat.denominator.scale_exponents(2))
 
 
 def euler_realize(x):
@@ -727,16 +680,11 @@ def euler_realize(x):
 
 @dataclass(frozen=True)
 class GeometricStrand:
-    """The formal sum of class_factor * L^(initial_exponent - i * step) over i >= 0.
-
-    dimension_bound records the dimension of the class carried by each term;
-    it does not affect convergence, which depends only on the step sign.
-    """
+    """The formal sum of class_factor * L^(initial_exponent - i * step) over i >= 0."""
 
     initial_exponent: Fraction
     step: Fraction
     class_factor: MotivicElement = field(default_factory=lambda: ONE)
-    dimension_bound: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "initial_exponent", as_fraction(self.initial_exponent))

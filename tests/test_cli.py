@@ -1,8 +1,11 @@
 """Tests for the command-line front end: output, exit codes, determinism."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from stringymass import MotivicRational, ONE, L, WildCyclicRep, l_power
 from stringymass.cli import main
@@ -153,3 +156,51 @@ def test_output_is_deterministic(capsys):
     second = run(capsys, "sweep", "--p", "3", "--max-dim", "6", "--json")
     assert first == second
     assert run(capsys, "serre", "--q", "9", "--n", "4") == run(capsys, "serre", "--q", "9", "--n", "4")
+
+
+@pytest.mark.parametrize("text", [
+    '{"dimension": 2, "divisors": [{"id": "E1", "a": [1, 0]}], "strata": []}',
+    '{"dimension": 2, "divisors": [{"id": "E1", "a": [0, 1]}],'
+    ' "strata": [{"J": ["E1"], "class": [[1, 0, 1]]}]}',
+], ids=["discrepancy", "class-triple"])
+def test_stringy_zero_denominator_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "strata.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "stringy", "--input", str(path))
+    assert code == 2
+    assert "--input" in err
+    assert "Traceback" not in err
+
+
+# sha256 of the --json standard output of fixed commands; a change to any byte
+# of the report (exponents, coefficients, key order, rendering) shows here.
+PINNED_JSON = {
+    "sweep-p2": (("sweep", "--p", "2", "--max-dim", "10"),
+                 "d838346c03b806f55a1504f54b897775b4668be8422f319d165f8a1507c8ec5a"),
+    "sweep-p3": (("sweep", "--p", "3", "--max-dim", "10"),
+                 "d3a70b0dc0eac01d64d465d2f792898e230697fce75af94e1b372b7e859547f2"),
+    "sweep-p5": (("sweep", "--p", "5", "--max-dim", "10"),
+                 "0d4e615b597bf34b7b6a7c3ada13be3dba04d9e718ca7a9bb9e105d554495d3d"),
+    "sweep-p7": (("sweep", "--p", "7", "--max-dim", "10"),
+                 "74ab15acd9a01b2d18c9a88de329831762fa76e3f9609a4579c7eed171f18eb3"),
+    "stringy-a1": (("stringy", "--input", "a1_resolution.json", "--with-chi",
+                    "--check-duality"),
+                   "cee9665263b0dfdb34a9c62ea3d6055c5ddd05ec157f1258ab7a050a9afc65e7"),
+    "stringy-one-third": (("stringy", "--input", "one_third_1_1_resolution.json",
+                           "--with-chi", "--check-duality"),
+                          "9c0a31a9c8d516268ab130df88d42457b0a47c014550608e240b682530935c5e"),
+    "mass-tame": (("mass", "tame", "--m", "12", "--weights", "1,5"),
+                  "41138c3a8634b08b6aaad0f74f7fe1437cfed89d6bcc2bfc128e1a10e0f8ff49"),
+    "mass-wild": (("mass", "wild", "--p", "3", "--blocks", "3,3"),
+                  "06d69a23d744b3c1351504fba94d6141db20a9d42e447adb444a9f7c730339d8"),
+    "serre": (("serre", "--q", "49", "--n", "12"),
+              "ed3e491d3cf819fda7f28d1f5a137cb40d8f74cf1190b2511e9f7f23fa8cef5d"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_JSON)
+def test_json_output_is_pinned(capsys, monkeypatch, name):
+    argv, digest = PINNED_JSON[name]
+    monkeypatch.chdir(FIXTURES)  # the report echoes --input, so keep it relative
+    _, out, _ = run(capsys, *argv, "--json")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -253,6 +253,18 @@ def test_is_integral_polynomial():
     assert not PoincareFunction(MotivicRational(l_power(-1))).is_integral_polynomial()
 
 
+def test_poincare_arithmetic_stays_poincare():
+    f = PoincareFunction(MotivicRational(ONE + l_power(2)))
+    g = MotivicRational(L)
+    for value in (f + f, g + f, f + g, 2 * f, f + 1):
+        assert type(value) is PoincareFunction
+    assert (f + 1).render() == "T^2 + 2"
+    assert (g + f).render() == "T^2 + T + 1"
+    assert repr(2 * f) == "PoincareFunction(2T^2 + 2)"
+    assert f == MotivicRational(ONE + l_power(2)) and hash(f) == hash(f.rational)
+    assert f.to_json() == f.rational.to_json()
+
+
 def test_poincare_ramification_index_tracked():
     f = poincare_realize(MotivicRational(l_power(Fraction(2, 3)) + 1))
     assert f.ramification_index == 3
