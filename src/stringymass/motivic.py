@@ -6,12 +6,19 @@ such polynomials.  The ramification index r of a value is the least common
 multiple of the exponent denominators, so a value always lives in the Laurent
 ring Z[L^(1/r), L^(-1/r)] for some finite r.
 
+``MotivicElement`` stores that minimal r and integer exponents counted in
+units of 1/r, so the ring operations run on ints alone; ``Fraction`` exponents
+appear only where values enter or leave (constructor, ``terms``, exponents,
+triples, ``render``).
+
 ``MotivicRational`` keeps quotients in a canonical reduced form: writing both
 parts as a monomial times a polynomial in u = L^(1/r), their primitive integer
-gcd is divided out by exact division over Z (Gauss's lemma), the joint content
-of the pair is divided out, and the denominator gets a positive leading
-coefficient and lowest exponent 0 (its monomial part is pushed into the
-numerator).  Equality of values is then plain structural equality.
+gcd (the heuristic gcd at an integer point, checked by exact division, with
+the pseudo-remainder sequence as fallback) is divided out by exact division
+over Z (Gauss's lemma), the joint content of the pair is divided out, and the
+denominator gets a positive leading coefficient and lowest exponent 0 (its
+monomial part is pushed into the numerator).  Equality of values is then
+plain structural equality.
 
 Two realizations are provided: the virtual Poincare realization L -> T^2
 (``poincare_realize``) and evaluation at L = 1 (``euler_realize``).  Geometric
@@ -36,12 +43,18 @@ from .util import as_fraction, as_int
 class MotivicElement:
     """Sparse Laurent polynomial in L^(1/r) with integer coefficients.
 
-    Invariants: no stored coefficient is zero, exponents are Fractions in
-    lowest terms.  Instances are immutable values; all operations return new
-    objects.  Equality is equality of term maps.
+    Stored as the ramification index r and a map from integer exponents k to
+    nonzero integer coefficients, the key k standing for L^(k/r).  r is
+    minimal (the lcm of the reduced exponent denominators, 1 for zero), so
+    equal values have equal r and equal maps and equality is structural.
+    Ring operations rescale both maps to the lcm of the two indices and stay
+    in ints; Fractions appear only at the boundary: the constructor, ``terms``,
+    ``min_exponent``/``max_exponent``, ``coefficient``, the triples and
+    ``render``.  Instances are immutable values; all operations return new
+    objects.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_r", "_terms")
 
     def __init__(self, terms=None):
         acc: dict[Fraction, int] = {}
@@ -53,13 +66,17 @@ class MotivicElement:
                     continue
                 exp = as_fraction(exp)
                 acc[exp] = acc.get(exp, 0) + coeff
-        self._terms = {e: c for e, c in acc.items() if c != 0}
+        acc = {e: c for e, c in acc.items() if c != 0}
+        # The lcm of reduced denominators is already minimal for these keys.
+        r = math.lcm(*(e.denominator for e in acc))
+        self._r = r
+        self._terms = {e.numerator * (r // e.denominator): c for e, c in acc.items()}
 
     # -- inspection ---------------------------------------------------------
 
     @property
     def terms(self) -> dict[Fraction, int]:
-        return dict(self._terms)
+        return {Fraction(k, self._r): c for k, c in self._terms.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -67,35 +84,34 @@ class MotivicElement:
 
     @property
     def ramification_index(self) -> int:
-        if not self._terms:
-            return 1
-        return math.lcm(*(e.denominator for e in self._terms))
+        return self._r
 
     @property
     def min_exponent(self) -> Fraction:
         if not self._terms:
             raise ValueError("the zero element has no exponents")
-        return min(self._terms)
+        return Fraction(min(self._terms), self._r)
 
     @property
     def max_exponent(self) -> Fraction:
         if not self._terms:
             raise ValueError("the zero element has no exponents")
-        return max(self._terms)
+        return Fraction(max(self._terms), self._r)
 
     @property
     def constant_term(self) -> int:
-        return self._terms.get(Fraction(0), 0)
+        return self._terms.get(0, 0)
 
     def coefficient(self, exp) -> int:
-        return self._terms.get(as_fraction(exp), 0)
+        k = as_fraction(exp) * self._r
+        return self._terms.get(k.numerator, 0) if k.denominator == 1 else 0
 
     def evaluate_at_one(self) -> int:
         return sum(self._terms.values())
 
     def is_integral_polynomial(self) -> bool:
         """True when all exponents are nonnegative integers."""
-        return all(e.denominator == 1 and e >= 0 for e in self._terms)
+        return self._r == 1 and all(k >= 0 for k in self._terms)
 
     # -- ring operations ----------------------------------------------------
 
@@ -103,15 +119,20 @@ class MotivicElement:
         other = _coerce_element(other)
         if other is NotImplemented:
             return NotImplemented
-        merged = dict(self._terms)
-        for e, c in other._terms.items():
-            merged[e] = merged.get(e, 0) + c
-        return MotivicElement(merged)
+        r = math.lcm(self._r, other._r)
+        merged = dict(_terms_at(self, r))
+        for k, c in _terms_at(other, r).items():
+            c += merged.get(k, 0)
+            if c:
+                merged[k] = c
+            else:
+                del merged[k]
+        return _element(r, merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MotivicElement({e: -c for e, c in self._terms.items()})
+        return _element(self._r, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _coerce_element(other)
@@ -129,12 +150,14 @@ class MotivicElement:
         other = _coerce_element(other)
         if other is NotImplemented:
             return NotImplemented
-        acc: dict[Fraction, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return MotivicElement(acc)
+        r = math.lcm(self._r, other._r)
+        right = _terms_at(other, r).items()
+        acc: dict[int, int] = {}
+        for k1, c1 in _terms_at(self, r).items():
+            for k2, c2 in right:
+                k = k1 + k2
+                acc[k] = acc.get(k, 0) + c1 * c2
+        return _element(r, {k: c for k, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -155,33 +178,39 @@ class MotivicElement:
         other = _coerce_element(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._r == other._r and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._r, frozenset(self._terms.items())))
 
     # -- exponent transforms ------------------------------------------------
 
     def shift(self, exp) -> "MotivicElement":
         """Multiply by the monomial L^exp."""
         exp = as_fraction(exp)
-        return MotivicElement({e + exp: c for e, c in self._terms.items()})
+        r = math.lcm(self._r, exp.denominator)
+        step = exp.numerator * (r // exp.denominator)
+        return _element(r, {k + step: c for k, c in _terms_at(self, r).items()})
 
     def scale_exponents(self, factor) -> "MotivicElement":
         """Substitute L^e -> L^(factor * e); factor must be nonzero."""
         factor = as_fraction(factor)
         if factor == 0:
             raise ValueError("exponent scaling by zero collapses the grading")
-        return MotivicElement({e * factor: c for e, c in self._terms.items()})
+        return _element(
+            self._r * factor.denominator,
+            {k * factor.numerator: c for k, c in self._terms.items()},
+        )
 
     # -- serialization ------------------------------------------------------
 
     def to_triples(self) -> list[list[int]]:
         """Terms as [exponent numerator, exponent denominator, coefficient], descending."""
-        return [
-            [e.numerator, e.denominator, self._terms[e]]
-            for e in sorted(self._terms, reverse=True)
-        ]
+        triples = []
+        for k in sorted(self._terms, reverse=True):
+            g = math.gcd(k, self._r)
+            triples.append([k // g, self._r // g, self._terms[k]])
+        return triples
 
     @classmethod
     def from_triples(cls, triples) -> "MotivicElement":
@@ -195,12 +224,12 @@ class MotivicElement:
         if not self._terms:
             return "0"
         parts = []
-        for e in sorted(self._terms, reverse=True):
-            c = self._terms[e]
-            if e == 0:
+        for k in sorted(self._terms, reverse=True):
+            c = self._terms[k]
+            if k == 0:
                 body = str(abs(c))
             else:
-                head = _render_power(var, e)
+                head = _render_power(var, Fraction(k, self._r))
                 body = head if abs(c) == 1 else f"{abs(c)}{head}"
             if not parts:
                 parts.append(("-" if c < 0 else "") + body)
@@ -210,6 +239,29 @@ class MotivicElement:
 
     def __repr__(self):
         return f"MotivicElement({self.render()})"
+
+
+def _element(r: int, terms: dict) -> MotivicElement:
+    """The element sum of c L^(k/r) over terms {k: c}, which holds no zero
+    coefficient; r is lowered to the minimal ramification index here."""
+    if r > 1:
+        g = math.gcd(r, *terms)
+        if g > 1:
+            r //= g
+            terms = {k // g: c for k, c in terms.items()}
+    elem = object.__new__(MotivicElement)
+    elem._r = r
+    elem._terms = terms
+    return elem
+
+
+def _terms_at(elem: MotivicElement, r: int) -> dict:
+    """elem's term map with exponents in units of 1/r, r a multiple of elem's
+    index; the map may be elem's own, so callers must not change it."""
+    factor = r // elem._r
+    if factor == 1:
+        return elem._terms
+    return {k * factor: c for k, c in elem._terms.items()}
 
 
 def _render_power(var: str, e: Fraction) -> str:
@@ -225,10 +277,10 @@ def _coerce_element(x):
         return x
     if isinstance(x, bool):
         return NotImplemented
-    if isinstance(x, int):
-        return MotivicElement({Fraction(0): x})
     if isinstance(x, Fraction) and x.denominator == 1:
-        return MotivicElement({Fraction(0): x.numerator})
+        x = x.numerator
+    if isinstance(x, int):
+        return _element(1, {0: x} if x else {})
     return NotImplemented
 
 
@@ -247,17 +299,18 @@ def l_power(exp) -> MotivicElement:
 # ---------------------------------------------------------------------------
 
 def _u_coefficients(elem: MotivicElement, r: int):
-    """Split elem as L^(shift/r) * sum coeffs[k] L^(k/r) with coeffs[0] nonzero."""
-    by_degree = {e.numerator * (r // e.denominator): c for e, c in elem._terms.items()}
-    shift = min(by_degree)
-    coeffs = [0] * (max(by_degree) - shift + 1)
-    for k, c in by_degree.items():
-        coeffs[k - shift] = c
-    return shift, coeffs
+    """Split elem as u^shift * sum coeffs[k] u^k, u = L^(1/r), with coeffs[0] nonzero."""
+    factor = r // elem._r
+    low = min(elem._terms)
+    coeffs = [0] * ((max(elem._terms) - low) * factor + 1)
+    for k, c in elem._terms.items():
+        coeffs[(k - low) * factor] = c
+    return low * factor, coeffs
 
 
 def _element_from_u(coeffs, r: int, shift: int) -> MotivicElement:
-    return MotivicElement({Fraction(shift + k, r): c for k, c in enumerate(coeffs) if c})
+    """The element u^shift * sum coeffs[k] u^k, u = L^(1/r)."""
+    return _element(r, {shift + k: c for k, c in enumerate(coeffs) if c})
 
 
 def _poly_trim(a):
@@ -267,17 +320,19 @@ def _poly_trim(a):
 
 
 def _poly_exact_div(num, den):
-    """Quotient of num by den over Z; den must divide num exactly."""
+    """Quotient of num by den over Z, or None when den does not divide num."""
     num = list(num)
+    lead = den[-1]
     quot = [0] * (len(num) - len(den) + 1)
     for k in range(len(quot) - 1, -1, -1):
-        coeff = num[k + len(den) - 1] // den[-1]
+        coeff, rem = divmod(num[k + len(den) - 1], lead)
+        if rem:
+            return None
         quot[k] = coeff
         if coeff:
             for j, c in enumerate(den):
                 num[k + j] -= coeff * c
-    assert not any(num)
-    return quot
+    return None if any(num) else quot
 
 
 def _poly_content(a) -> int:
@@ -308,11 +363,51 @@ def _poly_pseudo_rem(a, b):
 
 
 def _poly_gcd(a, b):
-    """Primitive gcd over Z (positive leading coefficient) via the primitive
-    pseudo-remainder sequence; content is stripped at every step to keep
-    coefficient growth in check."""
+    """Primitive gcd over Z of two nonzero polynomials, positive leading coefficient.
+
+    Heuristic gcd (Char, Geddes and Gonnet): at an integer point
+    xi >= 2 min(|a|, |b|) + 2 (max norms of the primitive parts), the balanced
+    base-xi digits of gcd(a(xi), b(xi)) are a polynomial g; by their theorem,
+    if its primitive part divides a and b it is the gcd.  The integer work is
+    native big-integer arithmetic.  After six unlucky points the primitive
+    pseudo-remainder sequence decides.
+    """
     a = _poly_primitive(_poly_trim([as_int(c) for c in a]))
     b = _poly_primitive(_poly_trim([as_int(c) for c in b]))
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(6):
+        va, vb = _poly_value(a, xi), _poly_value(b, xi)
+        if va and vb:
+            g = _poly_primitive(_balanced_digits(math.gcd(va, vb), xi))
+            if _poly_exact_div(a, g) is not None and _poly_exact_div(b, g) is not None:
+                return g if g[-1] > 0 else [-c for c in g]
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return _poly_gcd_prs(a, b)
+
+
+def _poly_value(a, x: int) -> int:
+    value = 0
+    for c in reversed(a):
+        value = value * x + c
+    return value
+
+
+def _balanced_digits(value: int, base: int) -> list[int]:
+    """Digits of value in base `base`, each in (-base/2, base/2], lowest first."""
+    digits = []
+    while value:
+        digit = value % base
+        if digit > base // 2:
+            digit -= base
+        digits.append(digit)
+        value = (value - digit) // base
+    return digits
+
+
+def _poly_gcd_prs(a, b):
+    """Primitive gcd of primitive a and b via the primitive pseudo-remainder
+    sequence; content is stripped at every step to keep coefficient growth in
+    check."""
     while b:
         rem = _poly_pseudo_rem(a, b)
         a, b = b, _poly_primitive(rem)
@@ -334,7 +429,7 @@ def _reduce(num: MotivicElement, den: MotivicElement):
         raise ZeroDivisionError("denominator is the zero element")
     if num.is_zero:
         return ZERO, ONE
-    r = math.lcm(num.ramification_index, den.ramification_index)
+    r = math.lcm(num._r, den._r)
     sn, pn = _u_coefficients(num, r)
     sd, pd = _u_coefficients(den, r)
     # The gcd is primitive, so by Gauss's lemma it divides both parts over Z.

@@ -5,7 +5,10 @@ discrepancies a_i > -1, and for each subset J of divisor indices the motivic
 class of the locally closed stratum (intersection of the divisors in J, minus
 the others, cut down to the fiber over the chosen center).  The stringy motif
 is the exact sum over subsets of the stratum class times the product of the
-factors (L - 1)/(L^(a_j + 1) - 1).
+factors (L - 1)/(L^(a_j + 1) - 1).  ``stringy_motif`` puts every term over
+the least common denominator, a product of cyclotomic polynomials in
+u = L^(1/r), adds the integer numerators and reduces once; inputs whose sum
+would exceed ``MAX_UDEGREE`` in u are rejected when the data is built.
 
 Strata classes are caller-supplied Laurent polynomials in L, not computed from
 geometry; this module is a formula engine.  Connected-component counts of the
@@ -17,6 +20,8 @@ function at T = 0, and by inclusion-exclusion over the counts.
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -29,12 +34,19 @@ from .motivic import (
     MotivicElement,
     MotivicRational,
     PoincareFunction,
+    _element_from_u,
     l_power,
     poincare_realize,
 )
 from .util import as_fraction, as_int
 
 MAX_DIVISORS = 20
+
+# Largest u-degree (u = L^(1/r)) of the numerator of the Batyrev sum over its
+# least common denominator; see ``_batyrev_shape``.  The sum costs time and
+# memory in proportion to it, so larger inputs are rejected before any
+# polynomial is built.  Every chain of 1/m(1,q) with m <= 40 stays below 300.
+MAX_UDEGREE = 4096
 
 
 def _as_subset(key) -> frozenset:
@@ -58,7 +70,8 @@ class SncStrataData:
     (including the empty set) to the class of the open stratum over the chosen
     center; absent subsets contribute zero.  ``pi0`` optionally counts the
     connected components of the closed strata and must cover every nonempty
-    subset whose closed stratum class is nonzero.
+    subset whose closed stratum class is nonzero.  Data whose Batyrev sum has
+    u-degree above ``MAX_UDEGREE`` raises ValueError.
     """
 
     __slots__ = ("dimension", "divisors", "strata", "pi0")
@@ -95,6 +108,7 @@ class SncStrataData:
             if not cls.is_zero:
                 cleaned[subset] = cls
         self.strata = cleaned
+        _batyrev_shape(self)
 
         if pi0 is None:
             self.pi0 = None
@@ -164,14 +178,121 @@ def batyrev_factor(discrepancy) -> MotivicRational:
 
 
 def stringy_motif(data: SncStrataData) -> MotivicRational:
-    """Sum over subsets of the open-stratum class times the divisor factors."""
-    total = MotivicRational(ZERO)
-    for subset in sorted(data.strata, key=lambda J: (len(J), sorted(J))):
-        term = MotivicRational(data.strata[subset])
-        for div_id in sorted(subset):
-            term = term * batyrev_factor(data.divisors[div_id])
-        total = total + term
-    return total
+    """Sum over subsets J of the open-stratum class times the factors of J.
+
+    In u = L^(1/r) the factor of divisor j is (u^r - 1)/(u^n_j - 1).  Every
+    term is put over the least common denominator D = prod Phi_d^m_d, so the
+    integer numerators add up as coefficient lists, and the sum is reduced
+    once, when the quotient is made.
+    """
+    if not data.strata:
+        return MotivicRational(ZERO)
+    r, n, binomials = _batyrev_shape(data)
+    # All multiplications come before the divisions, so each division is exact.
+    den = [1]
+    for e, t in sorted(binomials.items(), key=lambda item: -item[1]):
+        step = _times_binomial if t > 0 else _over_binomial
+        for _ in range(abs(t)):
+            den = step(den, e)
+    classes = {J: [(int(e * r), c) for e, c in cls.terms.items()]
+               for J, cls in data.strata.items()}
+    low = min(k for terms in classes.values() for k, _ in terms)
+    num: list[int] = []
+    for J, terms in classes.items():
+        cofactor = den
+        for div_id in J:
+            cofactor = _times_binomial(_over_binomial(cofactor, n[div_id]), r)
+        top = max(k for k, _ in terms) - low + len(cofactor)
+        num.extend([0] * (top - len(num)))
+        for k, c in terms:
+            base = k - low
+            for i, p in enumerate(cofactor):
+                num[base + i] += c * p
+    return MotivicRational(_element_from_u(num, r, low), _element_from_u(den, r, 0))
+
+
+def _batyrev_shape(data: SncStrataData):
+    """(r, n, binomials) of the Batyrev sum of data, checked against MAX_UDEGREE.
+
+    r is the least common index u = L^(1/r) of the classes and of the
+    divisors that occur in a stratum, and n[j] = (a_j + 1) r.  Since
+    u^n - 1 = prod over d | n of Phi_d, the least common denominator of the
+    factors is D = prod Phi_d^m_d, m_d the most divisors j of one stratum
+    with d | n[j].  Expanding each Phi_d by Moebius inversion,
+    Phi_d = prod over e | d of (u^e - 1)^mu(d/e), gives D as a product of
+    binomials: ``binomials[e]`` is the exponent of u^e - 1.
+
+    The u-degree of the sum is the largest degree its numerator can reach:
+    r times the spread of the class exponents, plus deg D, plus the most that
+    negative discrepancies add, max over J of the sum of r - n[j].  It is
+    bounded by MAX_UDEGREE before anything of that size is built.
+    """
+    strata = data.strata
+    used = set().union(*strata)
+    shares = {j: data.divisors[j] + 1 for j in used}
+    r = math.lcm(*(cls.ramification_index for cls in strata.values()),
+                 *(share.denominator for share in shares.values()))
+    n = {j: int(share * r) for j, share in shares.items()}
+    degree = 0
+    if strata:
+        low = min(cls.min_exponent for cls in strata.values())
+        high = max(cls.max_exponent for cls in strata.values())
+        degree = int((high - low) * r)
+        degree += max(0, *(sum(r - n[j] for j in J) for J in strata))
+    # deg D >= max n[j], because the Phi_d with d | n[j] multiply to u^n[j] - 1.
+    _check_udegree(degree + max(n.values(), default=0), r, "at least ")
+    orders = {j: [d for d in range(1, k + 1) if k % d == 0] for j, k in n.items()}
+    multiplicity: dict[int, int] = {}
+    for J in strata:
+        for d, count in Counter(d for j in J for d in orders[j]).items():
+            multiplicity[d] = max(multiplicity.get(d, 0), count)
+    binomials: Counter = Counter()
+    for d, m in multiplicity.items():
+        for e, mu in _moebius_pairs(d):
+            binomials[e] += mu * m
+    _check_udegree(degree + sum(e * t for e, t in binomials.items()), r, "")
+    return r, n, binomials
+
+
+def _check_udegree(degree: int, r: int, qualifier: str) -> None:
+    if degree > MAX_UDEGREE:
+        raise ValueError(
+            f"the Batyrev sum has u-degree {qualifier}{degree} in u = L^(1/{r}), "
+            f"above MAX_UDEGREE = {MAX_UDEGREE}"
+        )
+
+
+def _moebius_pairs(d: int) -> list[tuple[int, int]]:
+    """The pairs (e, mu(d/e)) over divisors e of d with d/e squarefree."""
+    primes, rest, p = [], d, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        primes.append(rest)
+    pairs = [(d, 1)]
+    for p in primes:
+        pairs += [(e // p, -mu) for e, mu in pairs]
+    return pairs
+
+
+def _times_binomial(poly: list[int], e: int) -> list[int]:
+    """poly * (u^e - 1), coefficient lists lowest degree first."""
+    out = [-c for c in poly] + [0] * e
+    for i, c in enumerate(poly):
+        out[i + e] += c
+    return out
+
+
+def _over_binomial(poly: list[int], e: int) -> list[int]:
+    """poly / (u^e - 1) for a poly that u^e - 1 divides."""
+    quot = [-c for c in poly[:len(poly) - e]]
+    for i in range(e, len(quot)):
+        quot[i] += quot[i - e]
+    return quot
 
 
 def crepant_total_class(data: SncStrataData) -> MotivicElement:

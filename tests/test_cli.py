@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -172,6 +173,43 @@ def test_stringy_zero_denominator_exits_2(capsys, tmp_path, text):
     assert "Traceback" not in err
 
 
+def _one_divisor(a, cls):
+    return json.dumps({"dimension": 2, "divisors": [{"id": "E1", "a": a}],
+                       "strata": [{"J": ["E1"], "class": cls}]})
+
+
+@pytest.mark.parametrize("text", [
+    _one_divisor([1, 200003], [[1, 1, 1], [0, 1, 1]]),
+    json.dumps({"dimension": 2,
+                "divisors": [{"id": "E1", "a": [1, 97]}, {"id": "E2", "a": [1, 89]}],
+                "strata": [{"J": ["E1"], "class": [[1, 1, 1]]},
+                           {"J": ["E2"], "class": [[1, 1, 1]]},
+                           {"J": ["E1", "E2"], "class": [[0, 1, 1]]}]}),
+    json.dumps({"dimension": 2, "divisors": [],
+                "strata": [{"J": [], "class": [[3000000, 1, 1], [0, 1, 1]]}]}),
+    # a near -1 adds (u^r - 1) of degree r = 10^6 with a denominator of degree 1
+    _one_divisor([-999999, 1000000], [[0, 1, 1]]),
+], ids=["large-prime-denominator", "two-coprime-denominators", "huge-class-exponent",
+        "discrepancy-near-minus-one"])
+def test_stringy_udegree_budget_exits_2_quickly(capsys, tmp_path, text):
+    path = tmp_path / "strata.json"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "stringy", "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "--input" in err and "MAX_UDEGREE" in err
+    assert "Traceback" not in err
+
+
+def test_stringy_budget_admits_large_prime_denominator(capsys, tmp_path):
+    path = tmp_path / "strata.json"
+    path.write_text(_one_divisor([1, 2003], [[1, 1, 1], [0, 1, 1]]))
+    code, report, _ = run_json(capsys, "stringy", "--input", str(path), "--with-chi")
+    assert code == 0
+    assert report["result"]["chi_from_pst"] == "1"
+
+
 # sha256 of the --json standard output of fixed commands; a change to any byte
 # of the report (exponents, coefficients, key order, rendering) shows here.
 PINNED_JSON = {
@@ -189,6 +227,10 @@ PINNED_JSON = {
     "stringy-one-third": (("stringy", "--input", "one_third_1_1_resolution.json",
                            "--with-chi", "--check-duality"),
                           "9c0a31a9c8d516268ab130df88d42457b0a47c014550608e240b682530935c5e"),
+    "stringy-dense-k6": (("stringy", "--input", "dense_k6.json", "--with-chi"),
+                         "db290e8ce55a880b7290fd777cdef134af8251339b4cdef86172326b004a91df"),
+    "stringy-chain-37-21": (("stringy", "--input", "chain_37_21.json", "--with-chi"),
+                            "e4ddf114bd1dafa9661d509b74272268707ca35030076775ec0f54e0f0864a80"),
     "mass-tame": (("mass", "tame", "--m", "12", "--weights", "1,5"),
                   "41138c3a8634b08b6aaad0f74f7fe1437cfed89d6bcc2bfc128e1a10e0f8ff49"),
     "mass-wild": (("mass", "wild", "--p", "3", "--blocks", "3,3"),

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
+from stringymass import motivic
 from stringymass import (
+    L,
     ONE,
     ZERO,
     MotivicElement,
@@ -84,6 +86,65 @@ def test_canonical_denominator_shape(a):
     assert not den.is_zero
     assert den.min_exponent == 0
     assert den.terms[den.max_exponent] > 0
+
+
+def test_ramification_index_drops_after_cancellation():
+    half = l_power(Fraction(1, 2))
+    assert (half + 1 - half).ramification_index == 1
+    assert (half * half).ramification_index == 1
+    assert half * half == L and hash(half * half) == hash(L)
+    assert half != L  # the same stored exponent 1, with r = 2 against r = 1
+
+
+@CASES
+@given(elements, elements)
+def test_ramification_index_is_minimal(a, b):
+    for value in (a + b, a - b, a * b, (a + b) - b):
+        assert value.ramification_index == math.lcm(*(e.denominator for e in value.terms))
+
+
+@CASES
+@given(elements, elements, elements)
+def test_equal_values_have_equal_hashes(a, b, c):
+    assert hash((a + b) * c) == hash(a * c + b * c)
+    assert hash((a + b) - b) == hash(a)
+    if not c.is_zero and not (c + 1).is_zero:
+        x, y = MotivicRational(a + b, c + 1), MotivicRational(a * c + b * c, c * c + c)
+        assert x == y and hash(x) == hash(y)
+
+
+@CASES
+@given(elements)
+def test_terms_and_triples_are_in_lowest_terms(a):
+    assert all(isinstance(e, Fraction) for e in a.terms)
+    assert all(math.gcd(n, d) == 1 and d > 0 for n, d, _ in a.to_triples())
+    assert MotivicElement.from_triples(a.to_triples()) == a
+
+
+integer_polys = st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=12).filter(
+    lambda p: p[-1] != 0)
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@CASES
+@given(integer_polys, integer_polys, integer_polys)
+def test_heuristic_gcd_matches_pseudo_remainder_sequence(a, b, common):
+    a, b = _times(a, common), _times(b, common)
+    reference = motivic._poly_gcd_prs(motivic._poly_primitive(a), motivic._poly_primitive(b))
+    assert motivic._poly_gcd(a, b) == reference
+
+
+def test_reduction_falls_back_to_pseudo_remainders(monkeypatch):
+    monkeypatch.setattr(motivic, "_poly_value", lambda a, x: 0)
+    value = MotivicRational(L**2 - 1, 2 * L - 2)
+    assert (value.numerator, value.denominator) == (L + 1, MotivicElement.constant(2))
 
 
 @CASES

@@ -8,9 +8,11 @@ single exceptional rational curve of self-intersection -m, discrepancy
 """
 
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stringymass import (
     InvalidDiscrepancy,
@@ -105,6 +107,54 @@ def test_zero_discrepancies_make_every_factor_one():
     total = crepant_total_class(data)
     assert total == L**3 + L + (ONE + L) + 2
     assert stringy_motif(data) == MotivicRational(total)
+
+
+def _fold_oracle(data):
+    """The sum term by term: class(J) times the factors of J, reduced each step."""
+    total = MotivicRational(0)
+    for subset, cls in data.strata.items():
+        term = MotivicRational(cls)
+        for div_id in subset:
+            term = term * batyrev_factor(data.divisors[div_id])
+        total = total + term
+    return total
+
+
+discrepancies = st.fractions(min_value=Fraction(-5, 6), max_value=3, max_denominator=6)
+stratum_classes = st.dictionaries(
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    st.integers(min_value=-5, max_value=5),
+    max_size=3,
+).map(MotivicElement)
+
+
+@st.composite
+def snc_data(draw):
+    """Up to 5 divisors, any subsets (the empty one included) present or absent."""
+    ids = [f"E{i}" for i in range(draw(st.integers(min_value=0, max_value=5)))]
+    divisors = [(i, draw(discrepancies)) for i in ids]
+    subsets = [frozenset(c) for size in range(len(ids) + 1) for c in combinations(ids, size)]
+    chosen = draw(st.lists(st.sampled_from(subsets), unique=True, max_size=8))
+    return SncStrataData(2, divisors, {J: draw(stratum_classes) for J in chosen})
+
+
+def _cancelling_data():
+    # equal discrepancies and opposite classes: the two terms cancel exactly
+    a = Fraction(-1, 3)
+    cls = L + l_power(Fraction(-1, 2))
+    return SncStrataData(2, [("E1", a), ("E2", a)], {("E1",): cls, ("E2",): -cls})
+
+
+@settings(max_examples=150, deadline=None)
+@given(snc_data())
+@example(_cancelling_data())
+def test_single_reduction_matches_term_by_term_fold(data):
+    got, want = stringy_motif(data), _fold_oracle(data)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_cancelling_sum_is_zero():
+    assert stringy_motif(_cancelling_data()).is_zero
 
 
 def test_crepant_total_class_guard(third_data):
